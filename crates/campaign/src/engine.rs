@@ -88,15 +88,10 @@ pub fn execute_run(spec: &RunSpec) -> RunOutcome {
 /// See [`execute_run`].
 #[must_use]
 pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> RunOutcome {
-    let all = if matches!(
-        spec.spec.checkers,
-        crate::plan::CheckerMode::ExpectedPassing
-    ) {
-        designs::passing_properties_at(spec.spec.design, spec.spec.level)
-    } else {
-        designs::properties_at(spec.spec.design, spec.spec.level)
-    };
-    let props = spec.spec.checkers.select(all);
+    let props = spec
+        .spec
+        .checkers
+        .properties(spec.spec.design, spec.spec.level);
     let mut built = designs::build(
         spec.spec.design,
         spec.spec.level,
@@ -114,7 +109,7 @@ pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> RunOutcome {
     }
     let binding = built.binding();
     let checkers =
-        Checker::attach_all(&mut built.sim, &props, binding).expect("suite attaches at its level");
+        Checker::attach_all(&mut built.sim, props, binding).expect("suite attaches at its level");
     let tracer = built.sim.tracer().clone();
     trace!(
         tracer,

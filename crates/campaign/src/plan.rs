@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use designs::{AbsLevel, BuildError, DesignKind, Fault};
+use designs::{AbsLevel, BuildError, DesignKind, Fault, Suite};
 use psl::ClockedProperty;
 use tinyrng::TinyRng;
 
@@ -52,11 +52,31 @@ impl CheckerMode {
 
     /// Applies the selection to a suite's property list.
     #[must_use]
-    pub fn select(self, all: Vec<(String, ClockedProperty)>) -> Vec<(String, ClockedProperty)> {
+    pub fn select(self, mut all: Vec<(String, ClockedProperty)>) -> Vec<(String, ClockedProperty)> {
+        all.truncate(self.prefix_len(all.len()));
+        all
+    }
+
+    /// The selection at `(design, level)`, borrowed from the prepared-suite
+    /// table ([`designs::suite_at`]); [`CheckerMode::None`] never touches
+    /// the table.
+    #[must_use]
+    pub fn properties(self, design: DesignKind, level: AbsLevel) -> &'static Suite {
+        if self == CheckerMode::None {
+            return &[];
+        }
+        let all = designs::suite_at(design, level, self == CheckerMode::ExpectedPassing);
+        &all[..self.prefix_len(all.len())]
+    }
+
+    /// How many leading properties of an `available`-long suite the mode
+    /// selects — the one prefix rule behind [`select`](CheckerMode::select)
+    /// and [`properties`](CheckerMode::properties).
+    fn prefix_len(self, available: usize) -> usize {
         match self {
-            CheckerMode::None => Vec::new(),
-            CheckerMode::First(n) => all.into_iter().take(n).collect(),
-            CheckerMode::All | CheckerMode::ExpectedPassing => all,
+            CheckerMode::None => 0,
+            CheckerMode::First(n) => n.min(available),
+            CheckerMode::All | CheckerMode::ExpectedPassing => available,
         }
     }
 }
@@ -228,7 +248,8 @@ impl CampaignPlan {
     }
 
     /// Checks the plan is executable: non-empty, positive run count and
-    /// size, and every cell's design has a model at its level.
+    /// size, and every cell's design has a model at its level and a
+    /// mutation for its fault ([`designs::check_supported`]).
     ///
     /// # Errors
     ///
@@ -244,9 +265,7 @@ impl CampaignPlan {
             return Err(PlanError::ZeroSize);
         }
         for (index, cell) in self.cells.iter().enumerate() {
-            // Probe-build a minimal instance so the supported-level rule
-            // stays in one place (the design factory).
-            designs::build(cell.design, cell.level, 1, 0, cell.fault)
+            designs::check_supported(cell.design, cell.level, cell.fault)
                 .map_err(|source| PlanError::BadCell { index, source })?;
         }
         Ok(())
@@ -378,6 +397,16 @@ mod tests {
         assert_eq!(CheckerMode::None.select(all.clone()).len(), 0);
         assert_eq!(CheckerMode::First(2).select(all.clone()).len(), 2);
         assert_eq!(CheckerMode::ExpectedPassing.select(all.clone()).len(), 9);
-        assert_eq!(CheckerMode::All.select(all).len(), 9);
+        assert_eq!(CheckerMode::All.select(all.clone()).len(), 9);
+        // The borrowed selection follows the same prefix rule.
+        for mode in [
+            CheckerMode::None,
+            CheckerMode::First(2),
+            CheckerMode::First(99),
+            CheckerMode::All,
+        ] {
+            let borrowed = mode.properties(DesignKind::Des56, AbsLevel::Rtl);
+            assert_eq!(borrowed, mode.select(all.clone()).as_slice(), "{mode}");
+        }
     }
 }

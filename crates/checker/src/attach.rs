@@ -1,22 +1,18 @@
 //! The unified checker-attach facade.
 //!
-//! [`Checker::attach`] replaces the split
-//! `ClockCheckerHost::install`/`TxCheckerHost::install` entry points: the
-//! caller describes *what the simulation offers* (a [`Binding`] with a
+//! The caller describes *what the simulation offers* (a [`Binding`] with a
 //! clock signal, a transaction bus, or both) and the facade dispatches on
-//! the property's evaluation context — clock-context properties get a
-//! clock-edge host, transaction-context (`T_b`) properties get the
-//! paper's TLM wrapper. The returned [`Checker`] handle is uniform:
-//! [`Checker::finalize`] yields the [`PropertyReport`] regardless of which
-//! host kind is behind it.
+//! each property's evaluation context — clock-context properties sample at
+//! clock edges, transaction-context (`T_b`) properties get the paper's TLM
+//! wrapper. A whole suite shares one host component; the returned
+//! [`Checker`] handles are uniform: [`Checker::finalize`] yields the
+//! [`PropertyReport`] of one property.
 
 use desim::{ComponentId, SignalId, Simulation};
 use psl::ClockedProperty;
 use tlmkit::TransactionBus;
 
-use crate::host::{
-    install_clock_host, install_tx_host, CheckerHost, ClockCheckerHost, InstallError, TxCheckerHost,
-};
+use crate::host::{InstallError, SuiteHost};
 use crate::monitor::PropertyChecker;
 use crate::report::{CheckReport, PropertyReport};
 
@@ -25,12 +21,12 @@ use crate::report::{CheckReport, PropertyReport};
 /// decided by [`Checker::attach`] from the property's context.
 ///
 /// The binding owns a handle to the bus (buses are cheap shared handles),
-/// so one binding is typically built per simulation and cloned for every
-/// property of the suite.
+/// so one binding is typically built per simulation and handed to the
+/// suite's [`Checker::attach_all`].
 #[derive(Debug, Clone)]
 pub struct Binding {
-    clk: Option<SignalId>,
-    bus: Option<TransactionBus>,
+    pub(crate) clk: Option<SignalId>,
+    pub(crate) bus: Option<TransactionBus>,
 }
 
 impl Binding {
@@ -63,14 +59,8 @@ impl Binding {
     }
 }
 
-/// Which host kind backs a [`Checker`] handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Clock,
-    Tx,
-}
-
-/// A uniform handle to one attached property checker.
+/// A uniform handle to one attached property checker: a member of a
+/// suite host.
 ///
 /// ```
 /// use abv_checker::{Binding, Checker};
@@ -88,15 +78,13 @@ enum Kind {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Checker {
-    id: ComponentId,
-    kind: Kind,
+    host: ComponentId,
+    member: usize,
 }
 
 impl Checker {
-    /// Compiles `property` and attaches a checker to `sim`, picking the
-    /// host kind from the property's evaluation context: clock contexts
-    /// sample at the edges of the binding's clock, transaction contexts
-    /// observe the binding's bus.
+    /// Compiles `property` and attaches it to `sim` as a one-member suite
+    /// (see [`Checker::attach_all`]).
     ///
     /// # Errors
     ///
@@ -110,39 +98,34 @@ impl Checker {
         property: &ClockedProperty,
         binding: Binding,
     ) -> Result<Checker, InstallError> {
-        if property.context.is_transaction() {
-            let bus = binding.bus.as_ref().ok_or(InstallError::MissingBus)?;
-            let id = install_tx_host(sim, bus, name, property)?;
-            Ok(Checker { id, kind: Kind::Tx })
-        } else {
-            let clk = binding.clk.ok_or(InstallError::MissingClock)?;
-            let id = install_clock_host(sim, clk, name, property)?;
-            Ok(Checker {
-                id,
-                kind: Kind::Clock,
-            })
-        }
+        let host = SuiteHost::install(sim, [(name, property)], &binding).map_err(|(_, e)| e)?;
+        Ok(Checker { host, member: 0 })
     }
 
-    /// Attaches one checker per `(name, property)` pair against the same
-    /// binding, in order.
+    /// Compiles every `(name, property)` pair and attaches them as one
+    /// suite against the same binding, in order. Each property picks its
+    /// trigger from its evaluation context: clock contexts sample at the
+    /// edges of the binding's clock, transaction contexts observe the
+    /// binding's bus. One host component drives the whole suite; an empty
+    /// suite installs nothing.
     ///
     /// # Errors
     ///
     /// Fails on the first property that cannot be attached, reporting its
-    /// index alongside the error.
+    /// index alongside the error; nothing is installed then.
     pub fn attach_all(
         sim: &mut Simulation,
         properties: &[(String, ClockedProperty)],
         binding: Binding,
     ) -> Result<Vec<Checker>, (usize, InstallError)> {
-        properties
-            .iter()
-            .enumerate()
-            .map(|(i, (name, p))| {
-                Checker::attach(sim, name, p, binding.clone()).map_err(|e| (i, e))
-            })
-            .collect()
+        if properties.is_empty() {
+            return Ok(Vec::new());
+        }
+        let members = properties.iter().map(|(name, p)| (name.as_str(), p));
+        let host = SuiteHost::install(sim, members, &binding)?;
+        Ok((0..properties.len())
+            .map(|member| Checker { host, member })
+            .collect())
     }
 
     /// Finalizes the checker at simulation end `end_ns` and returns the
@@ -156,16 +139,9 @@ impl Checker {
     #[must_use]
     pub fn finalize(&self, sim: &mut Simulation, end_ns: u64) -> PropertyReport {
         let tracer = sim.tracer().clone();
-        match self.kind {
-            Kind::Clock => sim
-                .component_mut::<ClockCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .finalize_traced(end_ns, &tracer),
-            Kind::Tx => sim
-                .component_mut::<TxCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .finalize_traced(end_ns, &tracer),
-        }
+        let checker = self.checker_mut(sim);
+        checker.finish_traced(end_ns, &tracer);
+        checker.report()
     }
 
     /// Finalizes a whole suite of checkers into one [`CheckReport`], in
@@ -179,12 +155,6 @@ impl Checker {
         checkers.iter().map(|c| c.finalize(sim, end_ns)).collect()
     }
 
-    /// The underlying host component id.
-    #[must_use]
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
     /// The wrapped [`PropertyChecker`] (for inspection in tests).
     ///
     /// # Panics
@@ -192,16 +162,9 @@ impl Checker {
     /// Panics if the handle does not belong to `sim`.
     #[must_use]
     pub fn checker_ref<'s>(&self, sim: &'s Simulation) -> &'s PropertyChecker {
-        match self.kind {
-            Kind::Clock => sim
-                .component::<ClockCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker(),
-            Kind::Tx => sim
-                .component::<TxCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker(),
-        }
+        sim.component::<SuiteHost>(self.host)
+            .expect("checker handle must belong to this simulation")
+            .member_ref(self.member)
     }
 
     /// Mutable access to the wrapped [`PropertyChecker`] (e.g. to disable
@@ -212,15 +175,8 @@ impl Checker {
     /// Panics if the handle does not belong to `sim`.
     #[must_use]
     pub fn checker_mut<'s>(&self, sim: &'s mut Simulation) -> &'s mut PropertyChecker {
-        match self.kind {
-            Kind::Clock => sim
-                .component_mut::<ClockCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker_mut(),
-            Kind::Tx => sim
-                .component_mut::<TxCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker_mut(),
-        }
+        sim.component_mut::<SuiteHost>(self.host)
+            .expect("checker handle must belong to this simulation")
+            .member_mut(self.member)
     }
 }

@@ -50,11 +50,9 @@ impl std::error::Error for CompileError {}
 
 /// Synthesizes a checker for `property`, resolving signals against `sim`.
 ///
-/// The context decides which host can drive the checker:
-/// [`ClockCheckerHost`](crate::ClockCheckerHost) for clock contexts,
-/// [`TxCheckerHost`](crate::TxCheckerHost) for transaction contexts. The
-/// returned tuple carries the clock edge for clock contexts (`None` for
-/// transaction contexts).
+/// The context decides when the suite host steps the checker: at the
+/// returned clock edge for clock contexts, at every transaction (`None`)
+/// for transaction contexts.
 ///
 /// # Errors
 ///

@@ -1,187 +1,152 @@
-//! Checker hosts: the components that feed evaluation events to a
-//! [`PropertyChecker`].
+//! The suite host: one component that feeds evaluation events to every
+//! [`PropertyChecker`] of one [`Checker::attach_all`](crate::Checker::attach_all)
+//! call.
 
-use abv_obs::{trace, TraceEvent, Tracer};
+use abv_obs::{trace, TraceEvent};
 use desim::{Component, ComponentId, Event, SignalId, SimCtx, Simulation};
 use psl::{ClockEdge, ClockedProperty};
-use tlmkit::TransactionBus;
 
+use crate::attach::Binding;
 use crate::compile::{compile, CompileError};
 use crate::monitor::PropertyChecker;
-use crate::report::PropertyReport;
 
 const KIND_CLK: u64 = 0;
-const KIND_SAMPLE: u64 = 1;
-const KIND_TX: u64 = 2;
+const KIND_TX: u64 = 1;
+/// Sampling deltas carry `KIND_SAMPLE | fired`, the trigger bits of the
+/// wake that scheduled them.
+const KIND_SAMPLE: u64 = 1 << 4;
 
-/// Spacing between per-checker trace-track blocks: each checker host owns
-/// tracks `[base, base + TRACE_TRACK_STRIDE)` for its property-level track
-/// plus one track per pool slot.
-const TRACE_TRACK_STRIDE: u64 = 1000;
+/// Trigger bits: which wakes a member samples at.
+const POS: u64 = 1;
+const NEG: u64 = 1 << 1;
+const ANY: u64 = 1 << 2;
+const TX: u64 = 1 << 3;
 
-/// The base trace track of the checker hosted by component `id`.
-fn trace_tid_base(id: ComponentId) -> u64 {
-    (id.index() as u64 + 1) * TRACE_TRACK_STRIDE
-}
+/// Trace-track layout: each host owns `[base, base + HOST_TRACK_STRIDE)`
+/// with `base = (component index + 1) * HOST_TRACK_STRIDE`, and member `m`
+/// owns `[base + m * MEMBER_TRACK_STRIDE, …)` for its property-level track
+/// plus one track per pool slot. Blocks are disjoint for suites of fewer
+/// than 1000 members whose pools stay below 999 slots.
+const HOST_TRACK_STRIDE: u64 = 1_000_000;
+const MEMBER_TRACK_STRIDE: u64 = 1000;
 
-/// Drives a checker at clock edges — the RTL verification host, also used
-/// for unabstracted properties on cycle-accurate models.
+/// Drives a whole suite of checkers from one component.
 ///
-/// The host implements the postponed sampling discipline: woken by a clock
-/// change on the matching edge, it re-schedules itself one delta later so
-/// the checker observes the values committed by the design at that edge.
-pub struct ClockCheckerHost {
-    checker: PropertyChecker,
-    clk: SignalId,
-    edge: ClockEdge,
+/// The host implements the postponed sampling discipline of the paper's
+/// generated checker processes once for the suite: woken by a clock change
+/// or a transaction notification, it detects the edge once and, if some
+/// member samples there, re-schedules itself one delta later so members
+/// observe the values the design committed at that edge or transaction.
+/// In that delta it steps the matching members in attach order. Clock
+/// members sample at the edges their context names (RTL verification and
+/// the unabstracted-property case); transaction members are the paper's
+/// TLM **wrapper** (Section IV), whose instance pool, evaluation table,
+/// deadline failures and reset/reuse live in [`PropertyChecker`].
+pub(crate) struct SuiteHost {
+    clk: Option<SignalId>,
     last_clk: u64,
+    /// Union of the members' trigger bits.
+    triggers: u64,
+    /// Each member's checker and trigger bits, in attach order.
+    members: Vec<(PropertyChecker, u64)>,
 }
 
-/// Compiles `property` and installs a [`ClockCheckerHost`] sampling at the
-/// edges of `clk` required by the property's clock context.
-pub(crate) fn install_clock_host(
-    sim: &mut Simulation,
-    clk: SignalId,
-    name: &str,
-    property: &ClockedProperty,
-) -> Result<ComponentId, InstallError> {
-    let (checker, edge) = compile(name, property, sim)?;
-    let edge = edge.ok_or(InstallError::WrongContext)?;
-    let host = ClockCheckerHost {
-        checker,
-        clk,
-        edge,
-        last_clk: 0,
-    };
-    let id = sim.add_component(host);
-    sim.subscribe(clk, id, KIND_CLK);
-    assign_trace_tracks::<ClockCheckerHost>(sim, id, name);
-    Ok(id)
-}
-
-/// Gives the freshly installed checker its trace-track block and labels the
-/// property-level track, so traces show one named row per property.
-fn assign_trace_tracks<H: CheckerHost>(sim: &mut Simulation, id: ComponentId, name: &str) {
-    let tid = trace_tid_base(id);
-    sim.component_mut::<H>(id)
-        .expect("just installed")
-        .checker_mut()
-        .set_trace_tid(tid);
-    let tracer = sim.tracer().clone();
-    trace!(tracer, TraceEvent::thread_name(0, tid, name));
-}
-
-/// Shared behaviour of checker-host components: access to the wrapped
-/// [`PropertyChecker`] and the finalize entry points, which are identical
-/// for every host kind.
-pub trait CheckerHost: Component + Sized {
-    /// The wrapped checker (for inspection in tests).
-    fn checker(&self) -> &PropertyChecker;
-
-    /// Mutable access to the wrapped checker (e.g. to disable the
-    /// evaluation-table optimization for ablation runs).
-    fn checker_mut(&mut self) -> &mut PropertyChecker;
-
-    /// Finalizes the checker at simulation end `end_ns` and returns the
-    /// definitive report.
-    fn finalize(&mut self, end_ns: u64) -> PropertyReport {
-        self.finalize_traced(end_ns, &Tracer::disabled())
-    }
-
-    /// [`finalize`](CheckerHost::finalize) with trace emission: closes
-    /// the spans of still-open checker instances.
-    fn finalize_traced(&mut self, end_ns: u64, tracer: &Tracer) -> PropertyReport {
-        self.checker_mut().finish_traced(end_ns, tracer);
-        self.checker().report()
-    }
-}
-
-impl CheckerHost for ClockCheckerHost {
-    fn checker(&self) -> &PropertyChecker {
-        &self.checker
-    }
-
-    fn checker_mut(&mut self) -> &mut PropertyChecker {
-        &mut self.checker
-    }
-}
-
-impl CheckerHost for TxCheckerHost {
-    fn checker(&self) -> &PropertyChecker {
-        &self.checker
-    }
-
-    fn checker_mut(&mut self) -> &mut PropertyChecker {
-        &mut self.checker
-    }
-}
-
-/// Compiles `property` and installs a [`TxCheckerHost`] observing `bus`.
-pub(crate) fn install_tx_host(
-    sim: &mut Simulation,
-    bus: &TransactionBus,
-    name: &str,
-    property: &ClockedProperty,
-) -> Result<ComponentId, InstallError> {
-    let (checker, edge) = compile(name, property, sim)?;
-    if edge.is_some() {
-        return Err(InstallError::WrongContext);
-    }
-    let id = sim.add_component(TxCheckerHost { checker });
-    bus.subscribe(id, KIND_TX);
-    assign_trace_tracks::<TxCheckerHost>(sim, id, name);
-    Ok(id)
-}
-
-impl Component for ClockCheckerHost {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        match ev.kind {
-            KIND_CLK => {
-                let v = ctx.read(self.clk);
-                let matched = match self.edge {
-                    ClockEdge::Pos => self.last_clk == 0 && v != 0,
-                    ClockEdge::Neg => self.last_clk != 0 && v == 0,
-                    ClockEdge::Any | ClockEdge::True => v != self.last_clk,
-                };
-                self.last_clk = v;
-                if matched {
-                    ctx.schedule_self(0, KIND_SAMPLE);
-                }
-            }
-            KIND_SAMPLE => {
-                let now = ev.time.as_ns();
-                let checker = &mut self.checker;
-                checker.on_event_traced(&|sig| ctx.read(sig), now, ctx.tracer());
-            }
-            other => unreachable!("unknown host event kind {other}"),
+impl SuiteHost {
+    /// Compiles `properties` against `binding` and installs them as one
+    /// host, subscribed once to the clock and once to the bus if some
+    /// member needs it. Returns the host's id; nothing is installed on
+    /// error, which carries the failing property's index.
+    pub(crate) fn install<'p>(
+        sim: &mut Simulation,
+        properties: impl IntoIterator<Item = (&'p str, &'p ClockedProperty)>,
+        binding: &Binding,
+    ) -> Result<ComponentId, (usize, InstallError)> {
+        let mut members = Vec::new();
+        for (i, (name, property)) in properties.into_iter().enumerate() {
+            let member = Self::member(sim, name, property, binding).map_err(|e| (i, e))?;
+            members.push(member);
         }
+        let triggers = members.iter().fold(0, |acc, (_, t)| acc | t);
+        let id = sim.add_component(SuiteHost {
+            clk: binding.clk,
+            last_clk: 0,
+            triggers,
+            members,
+        });
+        if let Some(clk) = binding.clk.filter(|_| triggers & (POS | NEG | ANY) != 0) {
+            sim.subscribe(clk, id, KIND_CLK);
+        }
+        if let Some(bus) = binding.bus.as_ref().filter(|_| triggers & TX != 0) {
+            bus.subscribe(id, KIND_TX);
+        }
+        // Give each member its trace-track block and label its
+        // property-level track, so traces show one named row per property.
+        let tracer = sim.tracer().clone();
+        let host = sim.component_mut::<SuiteHost>(id).expect("just installed");
+        for (m, (checker, _)) in host.members.iter_mut().enumerate() {
+            let tid = (id.index() as u64 + 1) * HOST_TRACK_STRIDE + m as u64 * MEMBER_TRACK_STRIDE;
+            checker.set_trace_tid(tid);
+            trace!(tracer, TraceEvent::thread_name(0, tid, checker.name()));
+        }
+        Ok(id)
+    }
+
+    /// Compiles one member and works out its trigger bits.
+    fn member(
+        sim: &Simulation,
+        name: &str,
+        property: &ClockedProperty,
+        binding: &Binding,
+    ) -> Result<(PropertyChecker, u64), InstallError> {
+        if property.context.is_transaction() {
+            binding.bus.as_ref().ok_or(InstallError::MissingBus)?;
+        } else {
+            binding.clk.ok_or(InstallError::MissingClock)?;
+        }
+        let (checker, edge) = compile(name, property, sim)?;
+        let trigger = match edge {
+            None => TX,
+            Some(ClockEdge::Pos) => POS,
+            Some(ClockEdge::Neg) => NEG,
+            Some(ClockEdge::Any | ClockEdge::True) => ANY,
+        };
+        Ok((checker, trigger))
+    }
+
+    /// The checker of member `m`.
+    pub(crate) fn member_ref(&self, m: usize) -> &PropertyChecker {
+        &self.members[m].0
+    }
+
+    /// Mutable access to the checker of member `m`.
+    pub(crate) fn member_mut(&mut self, m: usize) -> &mut PropertyChecker {
+        &mut self.members[m].0
     }
 }
 
-/// The paper's TLM **wrapper** (Section IV): drives a checker at
-/// transaction ends observed on a [`TransactionBus`].
-///
-/// Instance pooling, the evaluation table, deadline failures and
-/// reset/reuse live in [`PropertyChecker`]; the wrapper is its transaction
-/// front-end.
-pub struct TxCheckerHost {
-    checker: PropertyChecker,
-}
-
-impl Component for TxCheckerHost {
+impl Component for SuiteHost {
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        match ev.kind {
-            // Two-phase wake, mirroring the clocked checker processes the
-            // generator produces: the transaction notification re-schedules
-            // a sampling delta so the checker observes the model's
-            // committed post-transaction state.
-            KIND_TX => ctx.schedule_self(0, KIND_SAMPLE),
-            KIND_SAMPLE => {
-                let now = ev.time.as_ns();
-                let checker = &mut self.checker;
-                checker.on_event_traced(&|sig| ctx.read(sig), now, ctx.tracer());
+        let fired = match ev.kind {
+            KIND_CLK => {
+                let v = ctx.read(self.clk.expect("subscribed to the clock"));
+                let last = self.last_clk;
+                self.last_clk = v;
+                let pos = if last == 0 && v != 0 { POS } else { 0 };
+                let neg = if last != 0 && v == 0 { NEG } else { 0 };
+                pos | neg | if v != last { ANY } else { 0 }
             }
-            other => unreachable!("unknown host event kind {other}"),
+            KIND_TX => TX,
+            sample => {
+                let fired = sample & !KIND_SAMPLE;
+                let now = ev.time.as_ns();
+                for (checker, _) in self.members.iter_mut().filter(|(_, t)| t & fired != 0) {
+                    checker.on_event_traced(&|sig| ctx.read(sig), now, ctx.tracer());
+                }
+                return;
+            }
+        };
+        if fired & self.triggers != 0 {
+            ctx.schedule_self(0, KIND_SAMPLE | (fired & self.triggers));
         }
     }
 }
@@ -191,10 +156,6 @@ impl Component for TxCheckerHost {
 pub enum InstallError {
     /// Checker synthesis failed.
     Compile(CompileError),
-    /// Clock-context property given to the transaction host or vice versa.
-    /// The [`Checker::attach`](crate::Checker::attach) facade dispatches on
-    /// the property's context, so this is a defensive internal check.
-    WrongContext,
     /// The property samples at clock edges but the
     /// [`Binding`](crate::Binding) carries no clock signal.
     MissingClock,
@@ -207,9 +168,6 @@ impl std::fmt::Display for InstallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InstallError::Compile(e) => write!(f, "{e}"),
-            InstallError::WrongContext => {
-                f.write_str("property context does not match the host kind")
-            }
             InstallError::MissingClock => {
                 f.write_str("clock-context property, but the binding has no clock signal")
             }
@@ -241,7 +199,7 @@ mod tests {
     use crate::attach::{Binding, Checker};
     use desim::SimTime;
     use rtlkit::{Clock, EdgeDetector};
-    use tlmkit::Transaction;
+    use tlmkit::{Transaction, TransactionBus};
 
     /// Pulses `ds` at a chosen edge index and `rdy` 17 edges later.
     struct PulseDut {

@@ -14,15 +14,18 @@
 //! Checkers are attached through the [`Checker::attach`] facade: the
 //! caller builds a [`Binding`] describing what the simulation offers (a
 //! clock signal, a transaction bus, or both) and the facade dispatches on
-//! the property's evaluation context to one of two hosts:
+//! each property's evaluation context. One host component drives a whole
+//! suite ([`Checker::attach_all`]): it detects each clock edge or
+//! transaction once and, one delta later, steps the members that sample
+//! there, in attach order —
 //!
-//! - [`ClockCheckerHost`]: samples at clock edges (RTL verification, and
-//!   the unabstracted-property case);
-//! - [`TxCheckerHost`]: the paper's TLM **wrapper** — it observes a
-//!   [`tlmkit::TransactionBus`], maintains the checker-instance pool and
-//!   the evaluation table, fails instances whose expected evaluation time
-//!   passed without a transaction, resets/reuses completed instances, and
-//!   activates a new instance at every transaction matching the
+//! - clock members sample at clock edges (RTL verification, and the
+//!   unabstracted-property case);
+//! - transaction members are the paper's TLM **wrapper** — they observe a
+//!   [`tlmkit::TransactionBus`], maintain the checker-instance pool and
+//!   the evaluation table, fail instances whose expected evaluation time
+//!   passed without a transaction, reset/reuse completed instances, and
+//!   activate a new instance at every transaction matching the
 //!   transaction context (Section IV, points 1–4).
 //!
 //! When the simulation carries an enabled [`abv_obs::Tracer`], the whole
@@ -49,7 +52,7 @@ mod report;
 pub use arena::ArenaStats;
 pub use attach::{Binding, Checker};
 pub use compile::{compile, CompileError};
-pub use host::{CheckerHost, ClockCheckerHost, InstallError, TxCheckerHost};
+pub use host::InstallError;
 pub use monitor::{PropertyChecker, SignalRead, WakePlan};
 pub use reference::{compile_reference, ReferenceChecker};
 pub use report::{

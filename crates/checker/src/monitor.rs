@@ -105,10 +105,10 @@ struct Instance {
 /// policy, guard, instance pool and evaluation table, plus the property's
 /// own [`FormulaArena`] holding every formula the monitor can reach.
 ///
-/// Built by [`compile`](crate::compile); driven by a host
-/// ([`ClockCheckerHost`](crate::ClockCheckerHost) or
-/// [`TxCheckerHost`](crate::TxCheckerHost)) which calls
-/// [`on_event`](PropertyChecker::on_event) at each evaluation point.
+/// Built by [`compile`](crate::compile); driven by the suite host behind
+/// [`Checker`](crate::Checker), which calls
+/// [`on_event_traced`](PropertyChecker::on_event_traced) at each
+/// evaluation point.
 #[derive(Debug)]
 pub struct PropertyChecker {
     name: String,
@@ -129,7 +129,8 @@ pub struct PropertyChecker {
     report: PropertyReport,
     /// Base trace-track id: property-level events land here, instance
     /// `slot` events on `trace_tid + 1 + slot`. Assigned at install time
-    /// from the host's component id so tracks are stable per build order.
+    /// from the host's component id and the member's index, so tracks are
+    /// stable per build order.
     trace_tid: u64,
 }
 

@@ -8,6 +8,8 @@
 //! checker [`Binding`](abv_checker::Binding) needs), the nominal end time,
 //! and a uniform `run()`.
 
+use std::sync::OnceLock;
+
 use abv_core::{abstract_property, reuse_at_cycle_accurate, AbstractionConfig};
 use desim::{SignalId, SimStats, Simulation};
 use psl::ClockedProperty;
@@ -271,6 +273,34 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Checks that `design` has a model at `level` and a mutation for
+/// `fault` — the rule [`build`] applies before building anything, so plan
+/// validation can ask it without a probe build.
+///
+/// # Errors
+///
+/// [`BuildError::UnsupportedFault`] for `(design, fault)` pairs outside
+/// [`Fault::catalogue`]; [`BuildError::UnsupportedLevel`] for
+/// [`AbsLevel::TlmAtBulk`] on designs other than ColorConv.
+pub fn check_supported(
+    design: DesignKind,
+    level: AbsLevel,
+    fault: Fault,
+) -> Result<(), BuildError> {
+    let has_mutation = match design {
+        DesignKind::Des56 => des_mutation(fault).is_some(),
+        DesignKind::ColorConv => conv_mutation(fault).is_some(),
+        DesignKind::Fir => fir_mutation(fault).is_some(),
+    };
+    if !has_mutation {
+        return Err(BuildError::UnsupportedFault { design, fault });
+    }
+    if level == AbsLevel::TlmAtBulk && design != DesignKind::ColorConv {
+        return Err(BuildError::UnsupportedLevel { design, level });
+    }
+    Ok(())
+}
+
 /// Builds a fresh `design` instance at `level` over a seeded workload of
 /// `size` requests, with `fault` injected.
 ///
@@ -280,9 +310,7 @@ impl std::error::Error for BuildError {}
 ///
 /// # Errors
 ///
-/// [`BuildError::UnsupportedLevel`] for [`AbsLevel::TlmAtBulk`] on designs
-/// other than ColorConv; [`BuildError::UnsupportedFault`] for `(design,
-/// fault)` pairs outside [`Fault::catalogue`].
+/// The [`check_supported`] rejection of `(design, level, fault)`.
 pub fn build(
     design: DesignKind,
     level: AbsLevel,
@@ -290,39 +318,41 @@ pub fn build(
     seed: u64,
     fault: Fault,
 ) -> Result<BuiltDesign, BuildError> {
+    check_supported(design, level, fault)?;
     let style = CodingStyle::ApproximatelyTimedLoose;
-    match design {
+    const CHECKED: &str = "check_supported accepted the fault";
+    Ok(match design {
         DesignKind::Des56 => {
             let w = des56::DesWorkload::mixed(size, seed);
-            let m = des_mutation(fault).ok_or(BuildError::UnsupportedFault { design, fault })?;
+            let m = des_mutation(fault).expect(CHECKED);
             match level {
-                AbsLevel::Rtl => Ok(from_des_rtl(des56::build_rtl(&w, m))),
-                AbsLevel::TlmCa => Ok(from_des_tlm(des56::build_tlm_ca(&w, m))),
-                AbsLevel::TlmAt => Ok(from_des_tlm(des56::build_tlm_at(&w, m, style))),
-                AbsLevel::TlmAtBulk => Err(BuildError::UnsupportedLevel { design, level }),
+                AbsLevel::Rtl => from_des_rtl(des56::build_rtl(&w, m)),
+                AbsLevel::TlmCa => from_des_tlm(des56::build_tlm_ca(&w, m)),
+                AbsLevel::TlmAt => from_des_tlm(des56::build_tlm_at(&w, m, style)),
+                AbsLevel::TlmAtBulk => unreachable!("check_supported rejects DES56 bulk-AT"),
             }
         }
         DesignKind::ColorConv => {
             let w = colorconv::ConvWorkload::mixed(size, seed);
-            let m = conv_mutation(fault).ok_or(BuildError::UnsupportedFault { design, fault })?;
+            let m = conv_mutation(fault).expect(CHECKED);
             match level {
-                AbsLevel::Rtl => Ok(from_conv_rtl(colorconv::build_rtl(&w, m))),
-                AbsLevel::TlmCa => Ok(from_conv_tlm(colorconv::build_tlm_ca(&w, m))),
-                AbsLevel::TlmAt => Ok(from_conv_tlm(colorconv::build_tlm_at(&w, m, style))),
-                AbsLevel::TlmAtBulk => Ok(from_conv_tlm(colorconv::build_tlm_at_bulk(&w, m))),
+                AbsLevel::Rtl => from_conv_rtl(colorconv::build_rtl(&w, m)),
+                AbsLevel::TlmCa => from_conv_tlm(colorconv::build_tlm_ca(&w, m)),
+                AbsLevel::TlmAt => from_conv_tlm(colorconv::build_tlm_at(&w, m, style)),
+                AbsLevel::TlmAtBulk => from_conv_tlm(colorconv::build_tlm_at_bulk(&w, m)),
             }
         }
         DesignKind::Fir => {
             let w = fir::FirWorkload::random(size, seed);
-            let m = fir_mutation(fault).ok_or(BuildError::UnsupportedFault { design, fault })?;
+            let m = fir_mutation(fault).expect(CHECKED);
             match level {
-                AbsLevel::Rtl => Ok(from_fir_rtl(fir::build_rtl(&w, m))),
-                AbsLevel::TlmCa => Ok(from_fir_tlm(fir::build_tlm_ca(&w, m))),
-                AbsLevel::TlmAt => Ok(from_fir_tlm(fir::build_tlm_at(&w, m, style))),
-                AbsLevel::TlmAtBulk => Err(BuildError::UnsupportedLevel { design, level }),
+                AbsLevel::Rtl => from_fir_rtl(fir::build_rtl(&w, m)),
+                AbsLevel::TlmCa => from_fir_tlm(fir::build_tlm_ca(&w, m)),
+                AbsLevel::TlmAt => from_fir_tlm(fir::build_tlm_at(&w, m, style)),
+                AbsLevel::TlmAtBulk => unreachable!("check_supported rejects FIR bulk-AT"),
             }
         }
-    }
+    })
 }
 
 /// Maps the design-independent fault onto the DES56 mutation catalogue.
@@ -371,20 +401,44 @@ fn fir_mutation(fault: Fault) -> Option<fir::FirMutation> {
     }
 }
 
-/// The properties to verify at `level`, in suite order:
+/// One prepared property suite: `(name, property)` pairs in suite order.
+pub type Suite = [(String, ClockedProperty)];
+
+/// The prepared suites, one write-once slot per `(design, level,
+/// expected-passing)`; see [`suite_at`].
+static SUITES: [OnceLock<Vec<(String, ClockedProperty)>>; 3 * 4 * 2] =
+    [const { OnceLock::new() }; 3 * 4 * 2];
+
+/// The properties to verify at `level`, in suite order — all of them, or
+/// with `expected_passing` only those expected to pass on the unmutated
+/// design:
 ///
 /// - RTL: the original clock-context properties;
 /// - TLM-CA: the originals re-clocked onto `T_b` (no abstraction);
-/// - TLM-AT: the surviving results of Methodology III.1;
+/// - TLM-AT: the surviving results of Methodology III.1 (with
+///   `expected_passing`, of the AT-compatible entries only);
 /// - bulk-AT: the subset of the abstracted suite whose deadline structure
 ///   survives row-level transaction batching.
+///
+/// Each suite is parsed and abstracted once per process, on first request
+/// (concurrent first requests share one preparation), and borrowed after.
 ///
 /// # Panics
 ///
 /// Panics if a suite property fails to abstract (the shipped suites always
 /// abstract).
 #[must_use]
-pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, ClockedProperty)> {
+pub fn suite_at(design: DesignKind, level: AbsLevel, expected_passing: bool) -> &'static Suite {
+    let slot = (design as usize * 4 + level as usize) * 2 + usize::from(expected_passing);
+    SUITES[slot].get_or_init(|| prepare(design, level, expected_passing))
+}
+
+/// Parses and abstracts the suite [`suite_at`] memoizes.
+fn prepare(
+    design: DesignKind,
+    level: AbsLevel,
+    expected_passing: bool,
+) -> Vec<(String, ClockedProperty)> {
     let suite = design.suite();
     match level {
         AbsLevel::Rtl => suite.iter().map(SuiteEntry::named).collect(),
@@ -401,6 +455,7 @@ pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, Clocke
             let cfg = design.config();
             suite
                 .iter()
+                .filter(|e| !expected_passing || e.class == crate::PropertyClass::AtCompatible)
                 .filter_map(|e| {
                     abstract_property(&e.rtl, &cfg)
                         .expect("suite abstracts")
@@ -413,40 +468,34 @@ pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, Clocke
     }
 }
 
-/// The subset of [`properties_at`] expected to **pass** on the unmutated
-/// design at `level`: the full suite at RTL/TLM-CA, the AT-compatible
-/// subset (abstracted) at TLM-AT, the surviving range checks at bulk-AT.
+/// An owned copy of [`suite_at`]`(design, level, false)`: every property
+/// to verify at `level`.
+///
+/// # Panics
+///
+/// See [`suite_at`].
+#[must_use]
+pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, ClockedProperty)> {
+    suite_at(design, level, false).to_vec()
+}
+
+/// An owned copy of [`suite_at`]`(design, level, true)`: the subset of
+/// [`properties_at`] expected to **pass** on the unmutated design at
+/// `level` — the full suite at RTL/TLM-CA, the AT-compatible subset
+/// (abstracted) at TLM-AT, the surviving range checks at bulk-AT.
 ///
 /// This is the baseline a mutation campaign measures against — a mutant is
 /// killed exactly when one of these fails.
 ///
 /// # Panics
 ///
-/// Panics if a suite property fails to abstract (the shipped suites always
-/// abstract).
+/// See [`suite_at`].
 #[must_use]
 pub fn passing_properties_at(
     design: DesignKind,
     level: AbsLevel,
 ) -> Vec<(String, ClockedProperty)> {
-    match level {
-        AbsLevel::Rtl | AbsLevel::TlmCa => properties_at(design, level),
-        AbsLevel::TlmAt => {
-            let cfg = design.config();
-            design
-                .suite()
-                .iter()
-                .filter(|e| e.class == crate::PropertyClass::AtCompatible)
-                .filter_map(|e| {
-                    abstract_property(&e.rtl, &cfg)
-                        .expect("suite abstracts")
-                        .into_property()
-                        .map(|q| (e.name.to_owned(), q))
-                })
-                .collect()
-        }
-        AbsLevel::TlmAtBulk => colorconv::bulk_surviving_properties(),
-    }
+    suite_at(design, level, true).to_vec()
 }
 
 impl BuiltDesign {

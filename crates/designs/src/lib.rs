@@ -36,8 +36,8 @@ pub mod fir;
 mod suite;
 
 pub use factory::{
-    build, passing_properties_at, properties_at, AbsLevel, BuildError, BuiltDesign, DesignKind,
-    Fault,
+    build, check_supported, passing_properties_at, properties_at, suite_at, AbsLevel, BuildError,
+    BuiltDesign, DesignKind, Fault, Suite,
 };
 pub use suite::{PropertyClass, SuiteEntry};
 

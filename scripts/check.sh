@@ -17,6 +17,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
 echo "==> cargo test -q --test trace_determinism"
 cargo test -q --test trace_determinism
 
